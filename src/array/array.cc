@@ -99,6 +99,20 @@ Result<Array> Array::Create(std::vector<Dimension> dims,
       return Status::InvalidArgument("dimension '" + d.name +
                                      "' must have positive chunk length");
     }
+    int64_t end;
+    if (__builtin_add_overflow(d.start, d.length, &end)) {
+      return Status::InvalidArgument("dimension '" + d.name +
+                                     "' ends past the int64 range");
+    }
+  }
+  // Chunk storage is sized volume x attributes; that product, and so
+  // every offset into a chunk, must fit in int64.
+  int64_t cells = static_cast<int64_t>(attrs.size());
+  for (const Dimension& d : dims) {
+    if (__builtin_mul_overflow(cells, d.chunk_length, &cells)) {
+      return Status::InvalidArgument(
+          "chunk volume times attribute count overflows int64");
+    }
   }
   for (size_t i = 0; i < attrs.size(); ++i) {
     for (size_t j = i + 1; j < attrs.size(); ++j) {

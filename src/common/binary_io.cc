@@ -48,6 +48,16 @@ Status BinaryReader::GetRaw(void* out, size_t n) {
   return Status::OK();
 }
 
+Status BinaryReader::CheckCount(uint64_t count, size_t min_bytes) const {
+  if (min_bytes > 0 && count > remaining() / min_bytes) {
+    return Status::OutOfRange("binary count " + std::to_string(count) + " x " +
+                              std::to_string(min_bytes) +
+                              " bytes exceeds the " +
+                              std::to_string(remaining()) + " bytes left");
+  }
+  return Status::OK();
+}
+
 Result<uint8_t> BinaryReader::GetUint8() {
   uint8_t v = 0;
   BIGDAWG_RETURN_NOT_OK(GetRaw(&v, sizeof(v)));
@@ -109,6 +119,7 @@ Result<Value> BinaryReader::GetValue() {
 
 Result<Row> BinaryReader::GetRow() {
   BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetUint32());
+  BIGDAWG_RETURN_NOT_OK(CheckCount(n, 1));  // a tag per value
   Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -120,6 +131,7 @@ Result<Row> BinaryReader::GetRow() {
 
 Result<Schema> BinaryReader::GetSchema() {
   BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, GetUint32());
+  BIGDAWG_RETURN_NOT_OK(CheckCount(n, 5));  // name length + type tag
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -41,6 +41,15 @@ class BinaryWriter {
 
 /// \brief Sequential decoder matching BinaryWriter; every accessor is
 /// bounds-checked and returns OutOfRange past the end.
+///
+/// Decoded counts are bounded by the bytes still unread before anything
+/// is sized from them: a count of items that each take at least
+/// `min_bytes` on the wire fails with OutOfRange when the items cannot
+/// fit (CheckCount). So hostile bytes never reserve memory in proportion
+/// to a count they claim, only in proportion to the bytes given. The
+/// minimum sizes are 5 bytes per schema field (name length + type tag),
+/// 1 per value (tag), 4 per row (value count), 4 per chunk-length entry,
+/// and 8 per command-log record (string length + value count).
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -56,6 +65,11 @@ class BinaryReader {
 
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }
+  size_t remaining() const { return data_.size() - pos_; }
+
+  /// OutOfRange unless `count` items of at least `min_bytes` each fit in
+  /// the unread bytes.
+  Status CheckCount(uint64_t count, size_t min_bytes) const;
 
  private:
   Status GetRaw(void* out, size_t n);

@@ -59,6 +59,19 @@ class VarintReader {
     }
   }
 
+  /// InvalidArgument unless `count` items of at least `min_bytes` each
+  /// fit in the unread bytes — the guard a decoder runs on a decoded
+  /// count before sizing anything from it.
+  Status CheckCount(uint64_t count, size_t min_bytes) const {
+    if (min_bytes > 0 && count > remaining() / min_bytes) {
+      return Status::InvalidArgument(
+          "count " + std::to_string(count) + " x " +
+          std::to_string(min_bytes) + " bytes exceeds the " +
+          std::to_string(remaining()) + " bytes left");
+    }
+    return Status::OK();
+  }
+
   Result<int64_t> GetVarintSigned() {
     Result<uint64_t> raw = GetVarint64();
     if (!raw.ok()) return raw.status();

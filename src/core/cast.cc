@@ -271,6 +271,7 @@ Result<relational::Table> TableFromBinary(const std::string& data) {
   BinaryReader reader(data);
   BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
   BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(n, 4));  // a value count per row
   std::vector<Row> rows;
   rows.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -316,6 +317,7 @@ Result<relational::Table> TableFromBinaryParallel(const std::string& data,
   BinaryReader reader(data);
   BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
   BIGDAWG_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.GetUint32());
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(num_chunks, 4));  // a length each
   std::vector<uint32_t> lengths(num_chunks);
   for (uint32_t c = 0; c < num_chunks; ++c) {
     BIGDAWG_ASSIGN_OR_RETURN(lengths[c], reader.GetUint32());
@@ -339,6 +341,7 @@ Result<relational::Table> TableFromBinaryParallel(const std::string& data,
           std::string_view(data).substr(extents[c].first, extents[c].second));
       statuses[c] = [&]() -> Status {
         BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, chunk_reader.GetUint32());
+        BIGDAWG_RETURN_NOT_OK(chunk_reader.CheckCount(n, 4));
         chunk_rows[c].reserve(n);
         for (uint32_t r = 0; r < n; ++r) {
           BIGDAWG_ASSIGN_OR_RETURN(Row row, chunk_reader.GetRow());

@@ -143,7 +143,9 @@ std::string EncodeTable(const relational::Table& table) {
     out.push_back(static_cast<char>(f.type));
   }
 
-  const size_t n = table.num_rows();
+  // A zero-field frame always says zero rows: with no columns there is
+  // no byte per row that could bound the count on decode.
+  const size_t n = schema.num_fields() == 0 ? 0 : table.num_rows();
   common::PutVarint64(&out, n);
 
   for (size_t c = 0; c < schema.num_fields(); ++c) {
@@ -189,6 +191,7 @@ Result<relational::Table> DecodeTable(const std::string& wire) {
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindTable));
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_fields, reader.GetVarint64());
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(num_fields, 2));  // name len + type
   std::vector<Field> fields;
   fields.reserve(num_fields);
   for (uint64_t i = 0; i < num_fields; ++i) {
@@ -199,6 +202,17 @@ Result<relational::Table> DecodeTable(const std::string& wire) {
   }
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t n, reader.GetVarint64());
+  const uint64_t words = n / 64 + (n % 64 != 0);
+  if (num_fields == 0) {
+    if (n != 0) {
+      return Status::InvalidArgument("zero-field table frame with " +
+                                     std::to_string(n) + " rows");
+    }
+  } else {
+    // Every column spends an encoding byte plus a bitmap word per 64 rows.
+    BIGDAWG_RETURN_NOT_OK(reader.CheckCount(words, 8));
+    BIGDAWG_RETURN_NOT_OK(reader.CheckCount(num_fields, 1 + 8 * words));
+  }
   // Column-major decode into row-major storage.
   std::vector<Row> rows(n);
   for (auto& row : rows) row.resize(num_fields);
@@ -211,7 +225,6 @@ Result<relational::Table> DecodeTable(const std::string& wire) {
       BIGDAWG_ASSIGN_OR_RETURN(uniform, CheckTypeTag(enc));
     }
 
-    const size_t words = (n + 63) / 64;
     std::vector<uint64_t> bitmap(words, 0);
     for (size_t w = 0; w < words; ++w) {
       BIGDAWG_ASSIGN_OR_RETURN(const char* bytes, reader.GetBytes(8));
@@ -289,6 +302,8 @@ Result<array::Array> DecodeArray(const std::string& wire) {
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindArray));
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_dims, reader.GetVarint64());
+  // name len + start + length + chunk_length, one varint byte at least each
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(num_dims, 4));
   std::vector<array::Dimension> dims;
   dims.reserve(num_dims);
   for (uint64_t i = 0; i < num_dims; ++i) {
@@ -300,6 +315,7 @@ Result<array::Array> DecodeArray(const std::string& wire) {
                       static_cast<int64_t>(chunk_length));
   }
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.GetVarint64());
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(num_attrs, 1));  // name length
   std::vector<std::string> attrs;
   attrs.reserve(num_attrs);
   for (uint64_t i = 0; i < num_attrs; ++i) {

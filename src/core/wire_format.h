@@ -32,6 +32,12 @@ namespace bigdawg::core {
 /// little-endian bit patterns (exact round-trip), bools one byte, strings
 /// length-prefixed.
 ///
+/// Decoding is total: truncated, corrupt, or trailing-garbage frames
+/// fail with InvalidArgument, and every decoded count is bounded by the
+/// bytes left before anything is sized from it. A zero-field table has
+/// no per-row bytes to bound its row count, so EncodeTable writes 0 rows
+/// for it and DecodeTable refuses a zero-field frame with any rows.
+///
 /// The encoding is canonical: array cells are emitted in coordinate
 /// order and assoc cells in key order, so decode(encode(x)) re-encodes
 /// byte-identically — the property the dataplane round-trip test pins.

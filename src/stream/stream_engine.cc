@@ -680,6 +680,8 @@ Result<std::vector<LogRecord>> StreamEngine::DeserializeLog(
     const std::string& bytes) {
   BinaryReader reader(bytes);
   BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
+  // Each record carries at least a procedure-name length and a value count.
+  BIGDAWG_RETURN_NOT_OK(reader.CheckCount(n, 8));
   std::vector<LogRecord> log;
   log.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -337,6 +337,9 @@ class StreamEngine {
   /// Durable form of the command log: the compact binary wire format the
   /// recovery scheme writes to stable storage.
   static std::string SerializeLog(const std::vector<LogRecord>& log);
+  /// Inverse of SerializeLog. A damaged log fails with a typed status:
+  /// OutOfRange when it is truncated or claims more records or values
+  /// than its bytes can hold, ParseError on a bad tag or trailing bytes.
   static Result<std::vector<LogRecord>> DeserializeLog(const std::string& bytes);
 
  private:

@@ -140,6 +140,10 @@ TEST(StreamLogSerializationTest, RoundTrip) {
   EXPECT_FALSE(stream::StreamEngine::DeserializeLog(bytes + "x").ok());
   EXPECT_FALSE(
       stream::StreamEngine::DeserializeLog(bytes.substr(0, bytes.size() - 3)).ok());
+  // A record count its bytes cannot hold.
+  EXPECT_FALSE(
+      stream::StreamEngine::DeserializeLog(std::string("\xff\xff\xff\x7f", 4))
+          .ok());
 }
 
 }  // namespace

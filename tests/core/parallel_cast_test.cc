@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -65,6 +66,27 @@ TEST(ParallelCastTest, CorruptInputRejected) {
   EXPECT_TRUE(TableFromBinaryParallel(padded, &pool).status().IsParseError());
   // Nonsense bytes.
   EXPECT_FALSE(TableFromBinaryParallel("nonsense", &pool).ok());
+}
+
+TEST(ParallelCastTest, HugeCountsFailBeforeSizing) {
+  ThreadPool pool(2);
+  // A valid one-column schema followed by the given uint32 words.
+  auto frame = [](std::initializer_list<uint32_t> words) {
+    BinaryWriter writer;
+    writer.PutSchema(Schema({Field("v", DataType::kInt64)}));
+    for (uint32_t w : words) writer.PutUint32(w);
+    return writer.Release();
+  };
+  constexpr uint32_t kHuge = 0x7fffffff;
+  // Row count of the single-stream form, then one row's value count.
+  EXPECT_TRUE(TableFromBinary(frame({kHuge})).status().IsOutOfRange());
+  EXPECT_TRUE(TableFromBinary(frame({1, kHuge})).status().IsOutOfRange());
+  // Chunk count of the chunked form, then one 4-byte chunk's row count.
+  EXPECT_TRUE(
+      TableFromBinaryParallel(frame({kHuge}), &pool).status().IsOutOfRange());
+  EXPECT_TRUE(TableFromBinaryParallel(frame({1, 4, kHuge}), &pool)
+                  .status()
+                  .IsOutOfRange());
 }
 
 class ChunkCountSweep : public ::testing::TestWithParam<size_t> {};

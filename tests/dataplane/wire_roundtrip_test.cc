@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "core/wire_format.h"
 
 namespace bigdawg::core {
@@ -173,6 +174,54 @@ TEST(WireRoundTripTest, CorruptFramesFailTyped) {
 
   // Trailing garbage.
   EXPECT_TRUE(DecodeTable(wire + "zzz").status().IsInvalidArgument());
+
+  // Counts the remaining bytes cannot hold fail before anything is sized
+  // from them.
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+  const std::string table_header("BDW1\x01", 5);
+  const std::string array_header("BDW1\x02", 5);
+  auto varint = [](uint64_t v) {
+    std::string out;
+    common::PutVarint64(&out, v);
+    return out;
+  };
+  auto dim = [&](uint64_t length, uint64_t chunk_length) {
+    return varint(1) + "d" + varint(0) + varint(length) + varint(chunk_length);
+  };
+  // Huge field count.
+  EXPECT_TRUE(
+      DecodeTable(table_header + varint(kHuge)).status().IsInvalidArgument());
+  // Zero fields, huge row count.
+  EXPECT_TRUE(DecodeTable(table_header + varint(0) + varint(kHuge))
+                  .status()
+                  .IsInvalidArgument());
+  // One field, more rows than the bitmap bytes present.
+  EXPECT_TRUE(DecodeTable(table_header + varint(1) + varint(1) + "v" +
+                          std::string(1, '\x02') + varint(kHuge))
+                  .status()
+                  .IsInvalidArgument());
+  // Huge dimension count, then huge attribute count.
+  EXPECT_TRUE(
+      DecodeArray(array_header + varint(kHuge)).status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeArray(array_header + varint(1) + dim(4, 4) + varint(kHuge))
+                  .status()
+                  .IsInvalidArgument());
+  // Two 2^32-cell chunk edges: the chunk volume overflows int64.
+  const std::string overflow_chunk =
+      array_header + varint(2) + dim(uint64_t{1} << 32, uint64_t{1} << 32) +
+      dim(uint64_t{1} << 32, uint64_t{1} << 32) + varint(1) + varint(1) + "v" +
+      varint(1) + varint(0) + varint(0) + std::string(8, '\0');
+  EXPECT_TRUE(DecodeArray(overflow_chunk).status().IsInvalidArgument());
+}
+
+TEST(WireRoundTripTest, ZeroFieldTableEncodesNoRows) {
+  relational::Table t{Schema(std::vector<Field>{})};
+  t.AppendUnchecked({});
+  t.AppendUnchecked({});
+  auto decoded = DecodeTable(EncodeTable(t));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->schema().num_fields(), 0u);
+  EXPECT_EQ(decoded->num_rows(), 0u);
 }
 
 }  // namespace
