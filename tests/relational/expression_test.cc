@@ -142,6 +142,14 @@ struct LikeCase {
   bool expected;
 };
 
+// Without a printer gtest shows a LikeCase as its raw bytes, i.e. the two
+// string addresses, which differ on every run under ASLR; ctest names the
+// discovered tests after that text, so it has to be stable.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" LIKE \"" << c.pattern << "\" is "
+      << (c.expected ? "true" : "false");
+}
+
 class LikeMatchSweep : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeMatchSweep, Matches) {
